@@ -2,9 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
+#include <deque>
+#include <memory>
+#include <mutex>
 #include <utility>
 
+#include "sched/blocked_matrix.h"
 #include "util/logging.h"
 #include "util/parallel_reduce.h"
 
@@ -144,21 +149,102 @@ double SgdUpdateBlock(Model* model, const Ratings& block, SgdHyper hyper,
                           hyper.lambda_q);
 }
 
-double SgdUpdateBlockHogwild(Model* model, const Ratings& block,
-                             SgdHyper hyper, ThreadPool* pool,
-                             const KernelOps* ops) {
-  if (pool == nullptr || pool->size() == 0) {
-    return SgdUpdateBlock(model, block, hyper, ops);
+void RunCommitLog(Model* model, const BlockedMatrix& matrix,
+                  const std::vector<int>& blocks, SgdHyper hyper,
+                  const KernelOps* ops, ThreadPool* pool) {
+  const int32_t n = static_cast<int32_t>(blocks.size());
+  auto apply = [model, &matrix, &blocks, hyper, ops](int32_t i) {
+    SgdUpdateBlock(model, matrix.BlockRatings(blocks[i]), hyper, ops);
+  };
+  if (pool == nullptr || pool->size() == 0 || n < 2) {
+    for (int32_t i = 0; i < n; ++i) apply(i);
+    return;
   }
-  const KernelOps& kernel = Resolve(ops);
-  const int64_t n = static_cast<int64_t>(block.size());
-  return ParallelReduce(pool, n, /*grain=*/8192, [&](int64_t lo,
-                                                     int64_t hi) {
-    return kernel.sgd_block(model->p_data(), model->q_data(),
-                            model->stride(), model->k(), block.data() + lo,
-                            hi - lo, hyper.learning_rate, hyper.lambda_p,
-                            hyper.lambda_q);
-  });
+
+  // The dependency DAG: each entry has at most two predecessors (the
+  // previous entry in its row and in its column stratum) and at most two
+  // successors. A block listed twice in a row is its own row AND column
+  // predecessor; the two edges count separately, so that stays correct.
+  constexpr int32_t kNone = -1;
+  struct Dag {
+    std::vector<int32_t> row_next, col_next;
+    std::vector<int> waits;  // unfinished predecessors
+    std::deque<int32_t> ready;
+    int32_t done = 0;
+    std::mutex mu;
+    std::condition_variable cv;
+  };
+  // Shared so a helper the pool starts late (after the log drained and
+  // this call returned) finds live state, sees done == n and exits.
+  auto dag = std::make_shared<Dag>();
+  dag->row_next.assign(static_cast<size_t>(n), kNone);
+  dag->col_next.assign(static_cast<size_t>(n), kNone);
+  dag->waits.assign(static_cast<size_t>(n), 0);
+  const Grid& grid = matrix.grid();
+  std::vector<int32_t> last_row(static_cast<size_t>(grid.num_row_strata()),
+                                kNone);
+  std::vector<int32_t> last_col(static_cast<size_t>(grid.num_col_strata()),
+                                kNone);
+  for (int32_t i = 0; i < n; ++i) {
+    const int row = blocks[i] / grid.num_col_strata();
+    const int col = blocks[i] % grid.num_col_strata();
+    int32_t& prev_row = last_row[static_cast<size_t>(row)];
+    int32_t& prev_col = last_col[static_cast<size_t>(col)];
+    if (prev_row != kNone) {
+      dag->row_next[static_cast<size_t>(prev_row)] = i;
+      ++dag->waits[static_cast<size_t>(i)];
+    }
+    if (prev_col != kNone) {
+      dag->col_next[static_cast<size_t>(prev_col)] = i;
+      ++dag->waits[static_cast<size_t>(i)];
+    }
+    prev_row = i;
+    prev_col = i;
+    if (dag->waits[static_cast<size_t>(i)] == 0) dag->ready.push_back(i);
+  }
+
+  // Each worker pops a ready entry, applies it outside the lock, then
+  // releases its successors. It keeps one newly ready successor for
+  // itself (the row successor first: its P rows are still in cache) and
+  // queues the other. Idle workers block on the condition variable, so
+  // an oversubscribed pool costs no spinning.
+  auto work = [dag, n, apply] {
+    std::unique_lock<std::mutex> lock(dag->mu);
+    int32_t next = kNone;
+    for (;;) {
+      if (next == kNone) {
+        dag->cv.wait(lock,
+                     [&] { return !dag->ready.empty() || dag->done == n; });
+        if (dag->ready.empty()) return;
+        next = dag->ready.front();
+        dag->ready.pop_front();
+      }
+      lock.unlock();
+      apply(next);
+      lock.lock();
+      const int32_t finished = next;
+      next = kNone;
+      for (int32_t succ : {dag->row_next[static_cast<size_t>(finished)],
+                           dag->col_next[static_cast<size_t>(finished)]}) {
+        if (succ == kNone || --dag->waits[static_cast<size_t>(succ)] > 0) {
+          continue;
+        }
+        if (next == kNone) {
+          next = succ;
+        } else {
+          dag->ready.push_back(succ);
+          dag->cv.notify_one();
+        }
+      }
+      if (++dag->done == n) dag->cv.notify_all();
+    }
+  };
+  const size_t helpers =
+      std::min(pool->size(), static_cast<size_t>(n - 1));
+  for (size_t h = 0; h < helpers; ++h) pool->Submit(work);
+  // The caller returns only once done == n: every apply has finished and
+  // published its writes under the mutex.
+  work();
 }
 
 double Rmse(const Model& model, const Ratings& ratings, ThreadPool* pool,

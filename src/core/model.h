@@ -23,6 +23,8 @@
 
 namespace hsgd {
 
+class BlockedMatrix;
+
 class Model {
  public:
   Model(int32_t num_rows, int32_t num_cols, int k);
@@ -119,13 +121,18 @@ struct SgdHyper {
 double SgdUpdateBlock(Model* model, const Ratings& block, SgdHyper hyper,
                       const KernelOps* ops = nullptr);
 
-/// Lock-free parallel sweep in Hogwild style: threads race on shared
-/// factors, which is statistically fine for sparse blocks. Not
-/// bit-reproducible across pool sizes — the simulator uses the sequential
-/// kernel where determinism matters.
-double SgdUpdateBlockHogwild(Model* model, const Ratings& block,
-                             SgdHyper hyper, ThreadPool* pool,
-                             const KernelOps* ops = nullptr);
+/// Apply one epoch's commit log: SgdUpdateBlock over each listed block of
+/// `matrix`, in an order that gives every P row and Q column exactly the
+/// update sequence of running the log front to back. Entry i waits only
+/// on the previous entry in its row stratum and the previous entry in its
+/// column stratum (the 2D-tiled executor's per-stratum ordering), so
+/// blocks sharing no stratum — disjoint P rows and Q columns — run
+/// concurrently on `pool` plus the calling thread, and the factors come
+/// out bit-identical to serial for any pool size. A null or empty pool
+/// runs the log serially in order, the reference.
+void RunCommitLog(Model* model, const BlockedMatrix& matrix,
+                  const std::vector<int>& blocks, SgdHyper hyper,
+                  const KernelOps* ops, ThreadPool* pool);
 
 /// Root mean squared prediction error over `ratings`. Deterministic for a
 /// given input regardless of pool size (fixed-grain chunking, in-order

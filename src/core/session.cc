@@ -549,6 +549,12 @@ StatusOr<TracePoint> Session::RunEpochImpl(
   std::map<int64_t, std::pair<BlockTask, int>> held;
   int64_t released = 0;
 
+  auto lost_status = [&] {
+    return Status::Internal(
+        workers_alive_ == 0 ? "all workers dead; training cannot continue"
+                            : "device lost under DegradePolicy::kAbort");
+  };
+
   auto wake_waiters = [&](SimTime now) {
     for (int w = 0; w < num_workers; ++w) {
       if (!waiting[static_cast<size_t>(w)] ||
@@ -710,12 +716,7 @@ StatusOr<TracePoint> Session::RunEpochImpl(
   if (injector_ != nullptr) {
     injector_->BeginEpoch(epoch, scheduler_->remaining_blocks());
     handle_faults(injector_->Poll(0), epoch_start);
-    if (failed_) {
-      return Status::Internal(
-          workers_alive_ == 0
-              ? "all workers dead; training cannot continue"
-              : "device lost under DegradePolicy::kAbort");
-    }
+    if (failed_) return lost_status();
   }
 
   // Resident-factor uploads. GPU-Only keeps everything in device memory
@@ -770,13 +771,14 @@ StatusOr<TracePoint> Session::RunEpochImpl(
       if (!scheduler_->EpochDone()) waiting[static_cast<size_t>(w)] = 1;
       return;
     }
-    // Note the SGD arithmetic is NOT applied here: it runs when the
-    // block's release event commits, so a lease revoked in between
-    // leaves the model untouched and the requeued block applies exactly
-    // once. For conflicting blocks release order equals acquire order
-    // (strata serialization), and non-conflicting blocks touch disjoint
-    // factors, so the commit-at-release numbers are bit-identical to
-    // the old apply-at-acquire ones.
+    // Note the SGD arithmetic is NOT applied here: the block enters the
+    // epoch's commit log when its release event commits, and the log
+    // runs at the barrier, so a lease revoked in between never reaches
+    // the model and the requeued block applies exactly once. For
+    // conflicting blocks release order equals acquire order (strata
+    // serialization), and non-conflicting blocks touch disjoint
+    // factors, so the commit-order numbers are bit-identical to the old
+    // apply-at-acquire ones.
 
     SimTime finish, next_free, proc;
     // Extra seconds faults added to this block (slowdown, failed
@@ -909,12 +911,16 @@ StatusOr<TracePoint> Session::RunEpochImpl(
     }
   };
 
-  while (!scheduler_->EpochDone()) {
+  // The blocks whose leases committed this epoch, in commit order.
+  std::vector<int> commit_log;
+  Status halted = Status::Ok();
+  while (!failed_ && !scheduler_->EpochDone()) {
     if (pq.empty()) {
       // Blocks are pending but nobody is left (or able) to run them.
       failed_ = true;
-      return Status::Internal(
+      halted = Status::Internal(
           "simulation stalled: pending blocks but no live workers");
+      break;
     }
     Event e = pq.top();
     pq.pop();
@@ -923,10 +929,9 @@ StatusOr<TracePoint> Session::RunEpochImpl(
       // deadline) is dropped wholesale: its updates are never applied,
       // so the requeued copy of the block applies exactly once.
       if (!scheduler_->LeaseOutstanding(e.task.lease)) continue;
-      // The real update: the simulator decided *when*, the kernel does
-      // the arithmetic.
-      SgdUpdateBlock(model_.get(), matrix_.BlockRatings(e.task.block),
-                     hyper, kernel_ops_);
+      // The simulator decides *when* a block commits; the real update
+      // is deferred to the commit log run at the barrier.
+      commit_log.push_back(e.task.block);
       held.erase(e.task.lease);
       scheduler_->Release(workers_[e.worker].info, e.task, e.time);
       epoch_end = std::max(epoch_end, e.time);
@@ -987,24 +992,19 @@ StatusOr<TracePoint> Session::RunEpochImpl(
             kill_worker(workers_[w].info.device_class,
                         workers_[w].info.device_index, e.time);
           }
-          if (failed_) {
-            return Status::Internal(
-                workers_alive_ == 0
-                    ? "all workers dead; training cannot continue"
-                    : "device lost under DegradePolicy::kAbort");
-          }
           continue;
         }
       }
       try_acquire(w, e.time);
     }
-    if (failed_) {
-      return Status::Internal(
-          workers_alive_ == 0
-              ? "all workers dead; training cannot continue"
-              : "device lost under DegradePolicy::kAbort");
-    }
   }
+  // The epoch's real arithmetic: the simulator decided *when* each block
+  // commits, the executor applies the log on the evaluation pool in the
+  // serial per-stratum order. A failed epoch still applies what committed
+  // before the loss.
+  RunCommitLog(model_.get(), matrix_, commit_log, hyper, kernel_ops_,
+               eval_pool_.get());
+  if (failed_) return halted.ok() ? lost_status() : halted;
   clock_ = epoch_end;  // epoch barrier: evaluate, then start together
   if (obs_.trace != nullptr) {
     obs_.trace->Span("session", StrFormat("epoch %d", epoch), 0,

@@ -141,7 +141,8 @@ struct TrainConfig {
   CostModelKind cost_model = CostModelKind::kOurs;
   /// HSGD*'s dynamic work-stealing phase (off = HSGD*-M).
   bool dynamic_scheduling = true;
-  /// Real threads used for RMSE evaluation (not simulated).
+  /// Real threads for RMSE evaluation and the SGD commit executor (not
+  /// simulated); the factors are bit-identical for any value.
   int eval_threads = 8;
   /// Compute-kernel variant for the real SGD/RMSE arithmetic. kAuto is
   /// resolved to the best usable variant at Create time and the RESOLVED

@@ -68,7 +68,7 @@ StatusOr<std::shared_ptr<const FactorSnapshot>> FactorSnapshot::FromModel(
 StatusOr<std::shared_ptr<const FactorSnapshot>> FactorSnapshot::FromSession(
     const Session& session, uint64_t version, const io::IdMap* users,
     const io::IdMap* items) {
-  // The copy must not race Hogwild workers mid-epoch (torn factor rows)
+  // The copy must not race the SGD commit mid-epoch (torn factor rows)
   // or an append (the grow path REALLOCATES the factor buffers, so a
   // concurrent copy would read freed memory). VisitQuiesced try-locks
   // the epoch barrier: success means the factors are settled for the

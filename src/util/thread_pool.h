@@ -1,5 +1,6 @@
 // Fixed-size worker pool with a blocking ParallelFor. Used by the real
-// (non-simulated) kernels: Hogwild SGD and parallel RMSE evaluation.
+// (non-simulated) kernels: the SGD commit executor and parallel RMSE
+// evaluation.
 //
 // ParallelFor chunks [begin, end) by a fixed grain so the work
 // decomposition — and therefore any order-sensitive reduction done by the

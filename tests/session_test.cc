@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/hsgd.h"
+#include "fault/fault_plan.h"
 #include "test_main.h"
 
 namespace hsgd {
@@ -667,6 +668,74 @@ void TestTraceEmptyAndMonotone() {
               kSimTimeNever);
 }
 
+// (i) The commit executor behind every epoch kind: full epochs, an
+// incremental epoch over appended ratings, and an epoch whose GPU dies
+// mid-way (revoked leases never enter the commit log) leave factors,
+// traces and fault accounting identical for any evaluation pool size.
+void TestCommitExecutorPoolInvariant() {
+  const Dataset ds = SmallDataset();
+  struct Outcome {
+    Trace trace;
+    TrainStats stats;
+    FaultStats fault;
+    std::vector<float> p, q;
+  };
+  auto run = [&](int eval_threads) {
+    Outcome out;
+    TrainConfig cfg = SmallConfig(Algorithm::kHsgdStar);
+    cfg.eval_threads = eval_threads;
+    auto session = Session::Create(ds, cfg);
+    EXPECT_TRUE(session.ok());
+    if (!session.ok()) return out;
+    Session* s = session->get();
+    for (int e = 0; e < 3; ++e) EXPECT_TRUE(s->RunEpoch().ok());
+    Ratings arrivals = {{7, 3, 4.0f}, {ds.num_rows + 2, 11, 3.5f},
+                        {250, ds.num_cols, 2.0f}, {599, 499, 1.0f}};
+    EXPECT_TRUE(s->AppendRatings(arrivals).ok());
+    EXPECT_TRUE(s->RunIncrementalEpoch().ok());
+    // The fifth epoch runs under the plan: gpu0 dies halfway through it.
+    auto plan = FaultPlan::Parse("crash:gpu0@e5+0.5");
+    EXPECT_TRUE(plan.ok());
+    if (plan.ok()) EXPECT_TRUE(s->SetFaultPlan(*plan).ok());
+    EXPECT_TRUE(s->RunEpoch().ok());
+    out.trace = s->trace();
+    out.stats = s->stats();
+    out.fault = s->fault_stats();
+    out.p = s->model().DenseP();
+    out.q = s->model().DenseQ();
+    return out;
+  };
+  const Outcome base = run(1);
+  EXPECT_EQ(base.trace.points.size(), 5u);
+  EXPECT_EQ(base.fault.devices_lost, 1);
+  EXPECT_LE(1, base.fault.leases_revoked);
+  for (int eval_threads : {2, 7}) {
+    const Outcome other = run(eval_threads);
+    EXPECT_EQ(other.trace.points.size(), base.trace.points.size());
+    if (other.trace.points.size() != base.trace.points.size()) continue;
+    for (size_t i = 0; i < base.trace.points.size(); ++i) {
+      ExpectTracePointsEqual(other.trace.points[i], base.trace.points[i]);
+    }
+    ExpectStatsEqual(other.stats, base.stats);
+    EXPECT_EQ(other.p.size(), base.p.size());
+    EXPECT_EQ(other.q.size(), base.q.size());
+    if (other.p.size() != base.p.size() || other.q.size() != base.q.size()) {
+      continue;
+    }
+    EXPECT_EQ(std::memcmp(other.p.data(), base.p.data(),
+                          sizeof(float) * base.p.size()),
+              0);
+    EXPECT_EQ(std::memcmp(other.q.data(), base.q.data(),
+                          sizeof(float) * base.q.size()),
+              0);
+    EXPECT_EQ(other.fault.devices_lost, base.fault.devices_lost);
+    EXPECT_EQ(other.fault.leases_revoked, base.fault.leases_revoked);
+    EXPECT_EQ(other.fault.blocks_requeued, base.fault.blocks_requeued);
+    EXPECT_EQ(other.fault.blocks_lost, base.fault.blocks_lost);
+    EXPECT_EQ(other.fault.degraded, base.fault.degraded);
+  }
+}
+
 }  // namespace
 
 void RunAllTests() {
@@ -682,6 +751,7 @@ void RunAllTests() {
   TestGrownCheckpointRoundTrip();
   TestVisitQuiescedBarrier();
   TestTraceEmptyAndMonotone();
+  TestCommitExecutorPoolInvariant();
 }
 
 }  // namespace hsgd

@@ -1,8 +1,12 @@
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "core/dataset.h"
 #include "core/model.h"
+#include "sched/blocked_matrix.h"
 #include "test_main.h"
+#include "util/thread_pool.h"
 
 namespace hsgd {
 namespace {
@@ -79,18 +83,68 @@ void TestSgdReturnsSquaredError() {
   EXPECT_NEAR(Rmse(model, ds.train, nullptr), pre_rmse, 1e-12);
 }
 
-void TestHogwildConverges() {
+// The commit executor must reproduce the serial (pool == nullptr) run of
+// a commit log bit for bit at any pool size. The logs are adversarial
+// for the DAG: a single row stratum (a pure chain through P rows), a
+// single column stratum, diagonal waves (eight independent blocks per
+// wave), back-to-back repeats of one block (an entry that is both row
+// and column predecessor of the next), and a seeded random log.
+void TestCommitLogMatchesSerial() {
   Dataset ds = TinyDataset();
-  Model model(ds.num_rows, ds.num_cols, ds.params.k);
-  Rng rng(1);
-  model.InitRandom(&rng, ComputeStats(ds.train).mean_rating);
-  SgdHyper hyper{0.01f, 0.05f, 0.05f};
-  ThreadPool pool(4);
-  double before = Rmse(model, ds.train, &pool);
-  for (int epoch = 0; epoch < 10; ++epoch) {
-    SgdUpdateBlockHogwild(&model, ds.train, hyper, &pool);
+  constexpr int kStrata = 8;
+  auto grid = BuildBalancedGrid(ds.train, ds.num_rows, ds.num_cols,
+                                kStrata, kStrata);
+  EXPECT_TRUE(grid.ok());
+  if (!grid.ok()) return;
+  Rng shuffle(3);
+  auto matrix = BlockedMatrix::Build(ds.train, *grid, &shuffle);
+  EXPECT_TRUE(matrix.ok());
+  if (!matrix.ok()) return;
+  auto block = [&](int row, int col) { return grid->BlockIndex(row, col); };
+
+  std::vector<std::vector<int>> logs(5);
+  for (int rep = 0; rep < 3; ++rep) {
+    for (int c = 0; c < kStrata; ++c) logs[0].push_back(block(2, c));
+    for (int r = 0; r < kStrata; ++r) logs[1].push_back(block(r, 5));
+    for (int wave = 0; wave < kStrata; ++wave) {
+      for (int r = 0; r < kStrata; ++r) {
+        logs[2].push_back(block(r, (r + wave) % kStrata));
+      }
+    }
   }
-  EXPECT_LT(Rmse(model, ds.train, &pool), before * 0.7);
+  logs[3] = {block(1, 1), block(1, 1), block(1, 1), block(4, 6),
+             block(1, 6), block(1, 6), block(4, 1)};
+  Rng pick(17);
+  for (int i = 0; i < 400; ++i) {
+    logs[4].push_back(static_cast<int>(pick.UniformInt(grid->num_blocks())));
+  }
+
+  const SgdHyper hyper{0.01f, 0.05f, 0.05f};
+  const double mean = ComputeStats(ds.train).mean_rating;
+  auto run = [&](const std::vector<int>& log, ThreadPool* pool) {
+    Model model(ds.num_rows, ds.num_cols, ds.params.k);
+    Rng rng(1);
+    model.InitRandom(&rng, mean);
+    RunCommitLog(&model, *matrix, log, hyper, nullptr, pool);
+    return model;
+  };
+  Model untouched = run({}, nullptr);
+  for (const std::vector<int>& log : logs) {
+    Model serial = run(log, nullptr);
+    // The log really moved the factors, so equality below is not vacuous.
+    EXPECT_TRUE(std::memcmp(serial.p_data(), untouched.p_data(),
+                            sizeof(float) * serial.p_size()) != 0);
+    for (size_t threads : {1, 3, 7}) {
+      ThreadPool pool(threads);
+      Model parallel = run(log, &pool);
+      EXPECT_EQ(std::memcmp(serial.p_data(), parallel.p_data(),
+                            sizeof(float) * serial.p_size()),
+                0);
+      EXPECT_EQ(std::memcmp(serial.q_data(), parallel.q_data(),
+                            sizeof(float) * serial.q_size()),
+                0);
+    }
+  }
 }
 
 void TestModelInitDeterministic() {
@@ -133,7 +187,7 @@ void RunAllTests() {
   TestRmseHandComputed();
   TestSgdConverges();
   TestSgdReturnsSquaredError();
-  TestHogwildConverges();
+  TestCommitLogMatchesSerial();
   TestModelInitDeterministic();
   TestShuffleAndStats();
 }
